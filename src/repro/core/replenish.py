@@ -8,13 +8,13 @@ slices and tops bins up incrementally, trading burst capacity for
 smoothness the way a token bucket with a small bucket would.
 
 Policies are applied *lazily*: the simulator calls ``apply_until(state,
-now)`` before reading credit counters, and ``next_boundary()`` to know when
+now)`` before reading credit counters, and ``upcoming(state)`` to know when
 a stalled request might become issuable again.
 """
 
 from __future__ import annotations
 
-from typing import Optional
+from typing import Iterator, List, Optional, Sequence, Tuple
 
 from .bins import BinConfig
 from .credits import CreditState
@@ -29,10 +29,12 @@ class ReplenishPolicy:
     the short-term congestion Section III-C discusses.
     """
 
-    __slots__ = ("period", "_next")
+    __slots__ = ("period", "_next", "_own_period")
 
     def __init__(self, config: BinConfig, period: Optional[int] = None,
                  phase: int = 0) -> None:
+        #: the explicit period, or None when ``T_r`` follows the allocation
+        self._own_period = period
         self.period = period if period is not None else config.replenish_period()
         if self.period < 1:
             raise ValueError("replenishment period must be >= 1 cycle")
@@ -46,15 +48,20 @@ class ReplenishPolicy:
         """Restart the period from ``now`` (used on reconfiguration)."""
         self._next = now + self.period
 
+    def for_config(self, config: BinConfig) -> "ReplenishPolicy":
+        """This policy, own parameters kept, for a new allocation (a
+        derived period is re-derived); the caller resets the clock."""
+        return type(self)(config, period=self._own_period)
+
     def apply_until(self, state: CreditState, now: int) -> None:
         """Apply all replenishment boundaries at or before ``now``."""
         raise NotImplementedError
 
-    def clone(self) -> "ReplenishPolicy":
-        """Independent copy with identical clock state.
-
-        The shaper probes future release times on cloned policy + credit
-        state so speculation never perturbs the live clock.
+    def upcoming(self, state: CreditState
+                 ) -> Iterator[Tuple[Sequence[int], int]]:
+        """``(counts, until)``: the counters ``state`` holds before each
+        coming boundary ``until``; after the last step every counter is
+        ``K_i`` for good.  Reads ``state`` and the clock, changes neither.
         """
         raise NotImplementedError
 
@@ -75,11 +82,10 @@ class ResetReplenisher(ReplenishPolicy):
         periods_crossed = (now - self._next) // self.period + 1
         self._next += periods_crossed * self.period
 
-    def clone(self) -> "ResetReplenisher":
-        copy = ResetReplenisher.__new__(ResetReplenisher)
-        copy.period = self.period
-        copy._next = self._next
-        return copy
+    def upcoming(self, state: CreditState
+                 ) -> Iterator[Tuple[Sequence[int], int]]:
+        # The next boundary refills every bin; nothing changes after that.
+        yield state.counts, self._next
 
 
 class RateReplenisher(ReplenishPolicy):
@@ -105,27 +111,38 @@ class RateReplenisher(ReplenishPolicy):
         self._next = self._slice_period - (phase % self._slice_period)
         self._slice_index = 0
 
+    def for_config(self, config: BinConfig) -> "RateReplenisher":
+        return RateReplenisher(config, period=self._own_period,
+                               slices=self.slices)
+
     def reset_clock(self, now: int) -> None:
         self._next = now + self._slice_period
         self._slice_index = 0
 
+    def _topped_up(self, counts: Sequence[int], limits: Sequence[int],
+                   s: int) -> List[int]:
+        """``counts`` after slice ``s``'s installment, saturating at K."""
+        slices = self.slices
+        return [min(limit, count + limit * (s + 1) // slices
+                    - limit * s // slices)
+                for count, limit in zip(counts, limits)]
+
     def apply_until(self, state: CreditState, now: int) -> None:
         while self._next <= now:
-            limits = state.config.credits
-            s = self._slice_index
-            for index, limit in enumerate(limits):
-                installment = (limit * (s + 1) // self.slices
-                               - limit * s // self.slices)
-                state.counts[index] = min(limit,
-                                          state.counts[index] + installment)
-            self._slice_index = (s + 1) % self.slices
+            state.counts = self._topped_up(state.counts, state.config.credits,
+                                           self._slice_index)
+            self._slice_index = (self._slice_index + 1) % self.slices
             self._next += self._slice_period
 
-    def clone(self) -> "RateReplenisher":
-        copy = RateReplenisher.__new__(RateReplenisher)
-        copy.period = self.period
-        copy.slices = self.slices
-        copy._slice_period = self._slice_period
-        copy._next = self._next
-        copy._slice_index = self._slice_index
-        return copy
+    def upcoming(self, state: CreditState
+                 ) -> Iterator[Tuple[Sequence[int], int]]:
+        # One full round of installments adds K_i to every bin, so the
+        # counters are at K after at most ``slices`` boundaries.
+        counts = state.counts
+        limits = state.config.credits
+        until, s = self._next, self._slice_index
+        for _ in range(self.slices):
+            yield counts, until
+            counts = self._topped_up(counts, limits, s)
+            s = (s + 1) % self.slices
+            until += self._slice_period

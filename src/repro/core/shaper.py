@@ -22,7 +22,7 @@ Both hybrid accounting methods of Section III-D are implemented:
 
 from __future__ import annotations
 
-from typing import Dict, Optional
+from typing import Dict, Optional, Sequence
 
 from .bins import BinConfig
 from .credits import CreditState
@@ -84,7 +84,7 @@ class MittsShaper(SourceLimiter):
                     reset_credits: bool = True) -> None:
         """Install a new bin allocation (OS/hypervisor register write)."""
         self.state.reconfigure(config, reset=reset_credits)
-        self.replenisher = type(self.replenisher)(config)
+        self.replenisher = self.replenisher.for_config(config)
         self.replenisher.reset_clock(now)
 
     def stall_forever(self) -> bool:
@@ -106,49 +106,30 @@ class MittsShaper(SourceLimiter):
     def earliest_issue(self, now: int) -> Optional[int]:
         """First cycle >= ``now`` at which a release is permitted.
 
-        Walks forward through aging steps (a stalled request's growing
-        inter-arrival time reaching a farther populated bin) and
-        replenishment boundaries.  The walk probes *copies* of the credit
-        state and replenishment clock -- speculating about the future must
-        never advance the live clock, or a request issuing earlier than
-        the probed boundary would leave the clock a period ahead of
-        simulated time.
+        A stalled request ages until its inter-arrival time reaches the
+        lowest bin holding a credit; if that comes before the next
+        replenishment boundary it is the answer, else ask again of the
+        counters the boundary installs (DESIGN.md section 1.1).
         """
         if self.stall_forever():
             return None
-        # Catch the live state up to real time first (always safe).
         self.replenisher.apply_until(self.state, now)
-        if self.state.find_deductible(self.bin_at(now)) is not None:
-            # Fast exit: a credit is available right now.  The probe loop's
-            # first iteration (clone, no-op apply, same find_deductible)
-            # would return ``now``; skip the two state copies per call.
-            return now
-
-        probe_state = CreditState(self.config)
-        probe_state.counts = list(self.state.counts)
-        probe_policy = self.replenisher.clone()
-        # Enough steps for every aging edge plus a full period of drip
-        # slices, with slack; the reset policy needs only a handful.
-        slices = getattr(probe_policy, "slices", 1)
-        max_steps = 4 * (self.spec.num_bins + slices) + 16
-
         t = now
-        for _ in range(max_steps):
-            probe_policy.apply_until(probe_state, t)
-            bin_index = self.bin_at(t)
-            if probe_state.find_deductible(bin_index) is not None:
-                return t
-            candidates = []
-            next_bin = probe_state.next_available_bin_at_or_above(
-                bin_index + 1)
-            if next_bin is not None and self._last_release is not None:
-                candidates.append(self._last_release
-                                  + self.spec.lower_edge(next_bin))
-            candidates.append(probe_policy.next_boundary())
-            future = [c for c in candidates if c > t]
-            if not future:
-                return None
-            t = min(future)
+        for counts, until in self.replenisher.upcoming(self.state):
+            ready = self._ready_at(counts, t)
+            if ready is not None and ready < until:
+                return ready
+            t = until
+        return self._ready_at(self.config.credits, t)
+
+    def _ready_at(self, counts: Sequence[int], t: int) -> Optional[int]:
+        """First cycle >= ``t`` a request may release if the counters
+        stay ``counts``; ``None`` when no bin holds a credit."""
+        for index, count in enumerate(counts):
+            if count > 0:
+                if self._last_release is None:  # boot: slowest bin
+                    return t
+                return max(t, self._last_release + self.spec.lower_edge(index))
         return None
 
     def issue(self, cycle: int, req_id: int = -1) -> None:

@@ -5,18 +5,21 @@ The experiment CLI owns the :class:`~repro.runner.engine.Runner`;
 evaluator) discover it here instead of threading a ``runner=`` argument
 through every ``run(scale=..., seed=...)`` signature in the registry.
 
-No runner installed (the default, and always the case inside pool
-workers) means "run serially" -- callers must treat ``get_runner() is
-None`` as the serial path, which is also what keeps worker processes
-from trying to fan out recursively.
+No runner installed (the default) means "run serially" -- callers must
+treat ``get_runner() is None`` as the serial path.  A forked pool worker
+starts with a copy of its parent's module state, ambient runner
+included, so the runner's pool clears it in every worker it starts
+(``initializer=set_runner``); that is what keeps a job from fanning out
+recursively into a pool it cannot use.
 """
 
 from __future__ import annotations
 
 from contextlib import contextmanager
-from typing import Iterator, Optional
+from typing import TYPE_CHECKING, Iterator, Optional
 
-from .engine import Runner
+if TYPE_CHECKING:  # the engine imports this module to clear it in workers
+    from .engine import Runner
 
 _current: Optional[Runner] = None
 

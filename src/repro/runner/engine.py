@@ -40,6 +40,7 @@ from ..resilience.checkpoint import checkpoint_scope, discard_checkpoint
 from ..resilience.watchdog import StarvationError
 from . import wallclock
 from .cache import ResultCache
+from .context import set_runner
 from .jobspec import JobSpec, SpecError, callable_path
 from .progress import ProgressReporter
 from .worker import (STATUS_OK, STATUS_TIMEOUT, describe_exception,
@@ -330,8 +331,10 @@ class Runner:
 
     def _ensure_executor(self) -> futures.ProcessPoolExecutor:
         if self._executor is None:
+            # Workers must not inherit the ambient runner (see context).
             self._executor = futures.ProcessPoolExecutor(
-                max_workers=self.config.jobs)
+                max_workers=self.config.jobs, initializer=set_runner,
+                initargs=(None,))
         return self._executor
 
     def _rebuild_executor(self) -> None:

@@ -116,14 +116,8 @@ class ShaperPort:
         while queue:
             release_at = limiter.earliest_issue(now)
             if release_at is None:
-                if limiter.stall_forever():
-                    # Genuinely blocked until reconfiguration + kick().
-                    self._parked = True
-                else:
-                    # Defensive: a live limiter found no slot within its
-                    # search horizon; retry shortly rather than deadlock.
-                    self._wakeup_at = now + 64
-                    engine.schedule(self._wakeup_at, self._wake_cb)
+                # Blocked until reconfiguration + kick().
+                self._parked = True
                 return
             if release_at > now:
                 if self._wakeup_at is None or release_at < self._wakeup_at:

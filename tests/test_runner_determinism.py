@@ -8,10 +8,15 @@ worker processes inherit the setting.
 """
 
 import json
+import os
+import signal
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
+import repro
 from repro.analysis import contracts
 from repro.experiments.__main__ import main
 from repro.experiments.common import (SCALED_MULTI_CONFIG,
@@ -67,6 +72,33 @@ class TestCliParallelDeterminism:
                      "--no-progress"]) == 0
         assert main(["fig02", "--jobs", "2",
                      "--save-dir", str(parallel_dir), "--no-progress"]) == 0
+        assert saved_results(serial_dir) == saved_results(parallel_dir)
+
+    def test_nested_fan_out_sweep_finishes_and_matches_serial(self,
+                                                              tmp_path):
+        # ablation_fifo's inner helpers ask for the ambient runner.  Run
+        # as a pool job, it must see none: a worker that inherited the
+        # parent's runner fans out into a pool it cannot use and hangs.
+        # A subprocess, so a regression fails on the deadline instead of
+        # wedging the suite.
+        experiments = ["ablation_fifo", "fig02"]
+        serial_dir = tmp_path / "serial"
+        parallel_dir = tmp_path / "parallel"
+        assert main(experiments + ["--save-dir", str(serial_dir),
+                                   "--no-progress"]) == 0
+        src = str(Path(repro.__file__).resolve().parents[1])
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "repro.experiments", *experiments,
+             "--jobs", "2", "--save-dir", str(parallel_dir),
+             "--no-progress"],
+            env=dict(os.environ, PYTHONPATH=src),
+            stdout=subprocess.DEVNULL, start_new_session=True)
+        try:
+            assert proc.wait(timeout=120) == 0
+        except subprocess.TimeoutExpired:
+            os.killpg(proc.pid, signal.SIGKILL)
+            proc.wait()
+            pytest.fail("--jobs 2 sweep with nested fan-out hung")
         assert saved_results(serial_dir) == saved_results(parallel_dir)
 
     def test_resume_serves_identical_results(self, tmp_path):

@@ -1,9 +1,14 @@
 """Unit tests for the MITTS traffic shaper."""
 
+import copy
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core.bins import BinConfig, BinSpec
-from repro.core.replenish import ResetReplenisher
+from repro.core.credits import CreditState
+from repro.core.replenish import RateReplenisher, ResetReplenisher
 from repro.core.shaper import MittsShaper
 
 
@@ -180,6 +185,27 @@ class TestReconfigure:
         assert shaper.replenisher.next_boundary() == \
             1000 + config.replenish_period()
 
+    def test_reconfigure_keeps_drip_parameters(self):
+        old = BinConfig.from_credits([4] + [0] * 9)
+        shaper = MittsShaper(old, replenisher=RateReplenisher(old, slices=16))
+        new = BinConfig.from_credits([0, 6] + [0] * 8)
+        shaper.reconfigure(new, now=500)
+        policy = shaper.replenisher
+        assert type(policy) is RateReplenisher
+        assert policy.slices == 16
+        # The period was derived from the allocation, so it follows it.
+        assert policy.period == new.replenish_period()
+        assert policy.next_boundary() == 500 + new.replenish_period() // 16
+
+    def test_reconfigure_keeps_explicit_period(self):
+        old = BinConfig.from_credits([4] + [0] * 9)
+        shaper = MittsShaper(
+            old, replenisher=ResetReplenisher(old, period=777, phase=5))
+        shaper.reconfigure(BinConfig.from_credits([0, 6] + [0] * 8), now=10)
+        assert type(shaper.replenisher) is ResetReplenisher
+        assert shaper.replenisher.period == 777
+        assert shaper.replenisher.next_boundary() == 10 + 777
+
 
 class TestRateConservation:
     def test_average_rate_bounded_by_config(self):
@@ -199,3 +225,87 @@ class TestRateConservation:
             now = release
         budget = config.total_credits * (horizon // period + 1)
         assert releases <= budget
+
+
+def brute_force_release(shaper, now):
+    """Reference for ``earliest_issue``: try every cycle from ``now`` on
+    copies of the counters and the replenishment clock."""
+    if shaper.stall_forever():
+        return None
+    state = CreditState(shaper.config)
+    state.counts = list(shaper.state.counts)
+    policy = copy.copy(shaper.replenisher)
+    spec = shaper.spec
+    # Within one period plus a drip slice every counter is back at K, and
+    # a request then ages to any bin within the last bin's lower edge.
+    horizon = now + 2 * policy.period + spec.lower_edge(spec.num_bins - 1)
+    for t in range(now, horizon + 1):
+        policy.apply_until(state, t)
+        if state.find_deductible(shaper.bin_at(t)) is not None:
+            return t
+    return None
+
+
+def _replenisher(kind, config, period, slices, phase):
+    if kind == "reset":
+        return ResetReplenisher(config, period=period, phase=phase)
+    return RateReplenisher(config, period=period, slices=slices, phase=phase)
+
+
+# Mostly-empty vectors so zero-credit bins and aging are common.
+sparse_credits = st.lists(st.sampled_from([0, 0, 0, 1, 2, 4]),
+                          min_size=10, max_size=10).filter(
+                              lambda v: sum(v) > 0)
+
+
+class TestReleaseRuleMatchesBruteForce:
+    """The closed-form release rule equals a cycle-by-cycle search."""
+
+    @given(credits=sparse_credits,
+           kind=st.sampled_from(["reset", "drip"]),
+           method=st.sampled_from([MittsShaper.METHOD_TIMESTAMP,
+                                   MittsShaper.METHOD_DEDUCT_REFUND]),
+           period=st.one_of(st.none(), st.integers(1, 400)),
+           slices=st.integers(1, 8),
+           phase=st.integers(0, 500),
+           start=st.integers(0, 300),
+           steps=st.lists(st.tuples(st.integers(0, 40), st.booleans()),
+                          min_size=1, max_size=25))
+    @settings(max_examples=150, deadline=None)
+    def test_random_configs(self, credits, kind, method, period, slices,
+                            phase, start, steps):
+        config = BinConfig.from_credits(credits)
+        shaper = MittsShaper(
+            config, replenisher=_replenisher(kind, config, period, slices,
+                                             phase),
+            method=method)
+        now = start
+        for req_id, (gap, was_hit) in enumerate(steps):
+            # The first query runs with no release yet (boot state).
+            expected = brute_force_release(shaper, now)
+            release = shaper.earliest_issue(now)
+            assert release == expected
+            shaper.issue(release, req_id=req_id)
+            if req_id > 0:
+                shaper.on_llc_response(req_id - 1, was_hit=was_hit)
+            now = release + gap
+
+    @pytest.mark.parametrize("kind", ["reset", "drip"])
+    def test_ready_cycle_on_a_boundary(self, kind):
+        # After the bin-9 and bin-0 credits go, only bin 3 (lower edge 30)
+        # holds one: a request released at 1 is ready at 31, which is
+        # also the first replenishment boundary.
+        config = BinConfig.from_credits([1, 0, 0, 1] + [0] * 5 + [1])
+        policy = (ResetReplenisher(config, period=31) if kind == "reset"
+                  else RateReplenisher(config, period=62, slices=2))
+        shaper = MittsShaper(config, replenisher=policy)
+        shaper.issue(0, req_id=0)
+        shaper.issue(1, req_id=1)
+        assert shaper.replenisher.next_boundary() == 31
+        assert brute_force_release(shaper, 2) == 31
+        assert shaper.earliest_issue(2) == 31
+
+    def test_zero_credit_config_has_no_release(self):
+        shaper = shaper_with([0] * 10)
+        assert brute_force_release(shaper, 0) is None
+        assert shaper.earliest_issue(0) is None
