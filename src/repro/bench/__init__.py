@@ -7,14 +7,17 @@ baseline: the CI perf-smoke job runs ``python -m repro.bench --quick``
 and fails when events/sec regresses more than a tolerance against
 ``benchmarks/perf/baseline.json``.
 
-Two seeded workloads cover the two main simulation shapes:
+Three seeded workloads cover the main simulation shapes:
 
 * ``single`` -- one ``mcf``-profile core on the scaled single-program
   configuration (small LLC, one shaper port).
 * ``mix4``   -- the four-core workload mix 1 on the scaled multi-program
   configuration (shared LLC, four ports, FCFS fallback scheduler).
+* ``mix4-frfcfs`` -- ``mix4`` under FR-FCFS, so the memory controller
+  takes its reordering select path and the row-hit scan runs on every
+  decision (the path the paper's comparator schedulers share).
 
-Both are fully deterministic (fixed profiles, fixed seeds), so event
+All are fully deterministic (fixed profiles, fixed seeds), so event
 counts are reproducible run to run; only wall time varies.  Wall-clock
 reads go through :mod:`repro.runner.wallclock`, the repo's single
 sanctioned real-time access point, and never flow into simulation state.
@@ -28,6 +31,7 @@ from dataclasses import dataclass, replace
 from typing import Callable, Dict, List, Optional, Tuple
 
 from ..runner import wallclock
+from ..sched.base import FrFcfsScheduler
 from ..sim.system import (SCALED_MULTI_CONFIG, SCALED_SINGLE_CONFIG,
                           SimSystem)
 from ..workloads.benchmarks import trace_for
@@ -65,9 +69,18 @@ def _build_mix4(kernel: Optional[str] = None) -> SimSystem:
     return SimSystem(workload_traces(1, seed=7), config=config)
 
 
+def _build_mix4_frfcfs(kernel: Optional[str] = None) -> SimSystem:
+    config = SCALED_MULTI_CONFIG if kernel is None \
+        else replace(SCALED_MULTI_CONFIG, kernel=kernel)
+    traces = workload_traces(1, seed=7)
+    return SimSystem(traces, config=config,
+                     scheduler=FrFcfsScheduler(len(traces)))
+
+
 WORKLOADS = (
     BenchWorkload("single", _build_single),
     BenchWorkload("mix4", _build_mix4),
+    BenchWorkload("mix4-frfcfs", _build_mix4_frfcfs),
 )
 
 

@@ -101,7 +101,7 @@ def main(argv: Optional[List[str]] = None) -> int:
                                 workload_names=args.workloads)
         for name, entry in report["workloads"].items():
             verdict = "ok" if entry["ok"] else "MISMATCH"
-            print(f"{name:>8}: heap vs batched fingerprints "
+            print(f"{name:>11}: heap vs batched fingerprints "
                   f"[{verdict}] ({entry['cycles']} cycles)")
             if not entry["ok"]:
                 print(json.dumps(entry["fingerprints"], indent=2,
@@ -115,7 +115,7 @@ def main(argv: Optional[List[str]] = None) -> int:
                              repeats=args.repeat)
     for name, result in results["workloads"].items():
         eps = result["events_per_second"]
-        print(f"{name:>8}: {result['wall_seconds']:.4f} s "
+        print(f"{name:>11}: {result['wall_seconds']:.4f} s "
               f"({result['cycles']} cycles, best of {result['repeats']}), "
               f"{result['events_executed']} events, "
               f"{eps:,.0f} events/sec")
@@ -127,7 +127,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         results["baseline_comparison"] = comparison
         for name, entry in comparison["workloads"].items():
             verdict = "ok" if entry["ok"] else "REGRESSION"
-            print(f"{name:>8}: {entry['change']:+.1%} vs baseline "
+            print(f"{name:>11}: {entry['change']:+.1%} vs baseline "
                   f"({entry['baseline_events_per_second']:,.0f} -> "
                   f"{entry['events_per_second']:,.0f} events/sec) "
                   f"[{verdict}]")

@@ -5,8 +5,9 @@ the columns of one row, then move to the next bank), which is the scheme
 DRAMSim2 defaults to and what gives streaming workloads their high
 row-buffer hit rates.
 
-Mapping runs once per DRAM service, so the mapper precomputes shift/mask
-pairs for power-of-two geometries (every shipped
+Mapping runs once per request that reaches the memory controller
+(:meth:`~repro.dram.device.DramDevice.locate`), so the mapper precomputes
+shift/mask pairs for power-of-two geometries (every shipped
 :class:`~repro.dram.timing.DramTiming`) and exposes
 :meth:`AddressMapper.flat_index` so callers that already mapped an address
 do not map it a second time just to find the flat bank index.
@@ -28,10 +29,10 @@ class DramCoordinates(NamedTuple):
     row: int
     column: int
 
-    @property
-    def flat_bank(self) -> int:
-        """Globally unique bank index (channel-major)."""
-        return self.bank + self.rank * 1024 + self.channel * 1024 * 1024
+
+#: builds a :class:`DramCoordinates` in C, skipping the Python frame of
+#: the generated ``__new__`` (over half the cost of a power-of-two map)
+_new_tuple = tuple.__new__
 
 
 def _shift_mask(value: int) -> Optional[Tuple[int, int]]:
@@ -100,7 +101,8 @@ class AddressMapper:
                 line >>= rank_s
                 column = line & col_m
                 row = line >> col_s
-            return DramCoordinates(channel, rank, bank, row, column)
+            return _new_tuple(DramCoordinates,
+                              (channel, rank, bank, row, column))
         line = address // timing.line_bytes
         if self.scheme == "row":
             return self._map_row_interleaved(line)
@@ -137,50 +139,6 @@ class AddressMapper:
         timing = self.timing
         return (coords.channel * timing.ranks_per_channel
                 + coords.rank) * timing.banks_per_rank + coords.bank
-
-    def map_lines(self, lines):
-        """Vectorized :meth:`map` over an array of DRAM line numbers.
-
-        ``lines`` is a numpy integer array of ``address // line_bytes``
-        values; returns ``(flat_bank, row, channel)`` arrays with the same
-        shape, where ``flat_bank`` matches :meth:`flat_index`.  This is the
-        batched kernel's one-shot coordinate precomputation: the per-trace
-        address column is mapped in a handful of array shift/mask ops
-        instead of one :meth:`map` call per DRAM service.  Non-power-of-two
-        geometries fall back to a scalar loop over :meth:`map` (identical
-        results, just not vectorized).
-        """
-        timing = self.timing
-        pow2 = self._pow2
-        if pow2 is None:
-            triples = [self.map(int(line) * timing.line_bytes)
-                       for line in lines]
-            flat = [self.flat_index(c) for c in triples]
-            row = [c.row for c in triples]
-            channel = [c.channel for c in triples]
-            return flat, row, channel
-        (_line_s, _), (col_s, col_m), (bank_s, bank_m), \
-            (rank_s, rank_m), (chan_s, chan_m) = pow2
-        work = lines
-        if self.scheme == "row":
-            work = work >> col_s
-            bank = work & bank_m
-            work = work >> bank_s
-            rank = work & rank_m
-            work = work >> rank_s
-            channel = work & chan_m
-            row = work >> chan_s
-        else:
-            channel = work & chan_m
-            work = work >> chan_s
-            bank = work & bank_m
-            work = work >> bank_s
-            rank = work & rank_m
-            work = work >> rank_s
-            row = work >> col_s
-        flat = (channel * timing.ranks_per_channel
-                + rank) * timing.banks_per_rank + bank
-        return flat, row, channel
 
     def bank_index(self, address: int) -> int:
         """Flat bank index in ``range(timing.total_banks)``."""

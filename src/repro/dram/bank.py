@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import Optional, Tuple
 
 from ..analysis import contracts
 from .timing import DramTiming
@@ -26,14 +26,18 @@ class Bank:
     row_misses: int = 0
     #: cycle of the last activate, to honour the tRC window
     last_activate: int = field(default=-(10 ** 9))
+    #: timing sums the access path reads, derived once from ``timing``:
+    #: ``(t_bl, t_rc, t_rp, t_wr, t_rcd + t_bl, t_rp + t_rcd + t_bl,
+    #: hit latency, closed latency, conflict latency)``
+    _sums: Tuple[int, ...] = field(init=False, repr=False, compare=False)
 
-    def classify(self, row: int) -> str:
-        """Would an access to ``row`` be a ``hit``/``closed``/``conflict``?"""
-        if self.open_row is None:
-            return "closed"
-        if self.open_row == row:
-            return "hit"
-        return "conflict"
+    def __post_init__(self) -> None:
+        timing = self.timing
+        self._sums = (timing.t_bl, timing.t_rc, timing.t_rp, timing.t_wr,
+                      timing.t_rcd + timing.t_bl,
+                      timing.t_rp + timing.t_rcd + timing.t_bl,
+                      timing.row_hit_latency, timing.row_closed_latency,
+                      timing.row_conflict_latency)
 
     def access(self, row: int, now: int, is_write: bool = False) -> int:
         """Perform an access to ``row`` starting no earlier than ``now``.
@@ -53,30 +57,34 @@ class Bank:
                             "are integers", row, now)
             contracts.check(now >= 0, "Bank.access at negative cycle %r",
                             now)
-        prev_ready = self.ready_cycle
-        start = max(now, self.ready_cycle)
-        kind = self.classify(row)
-        if kind == "hit":
-            latency = self.timing.row_hit_latency
-            next_ready = start + self.timing.t_bl
+            prev_ready = self.ready_cycle
+        (t_bl, t_rc, t_rp, t_wr, t_rcd_bl, t_rp_rcd_bl,
+         hit_latency, closed_latency, conflict_latency) = self._sums
+        start = self.ready_cycle
+        if now > start:
+            start = now
+        open_row = self.open_row
+        if open_row == row:
+            done = start + hit_latency
+            next_ready = start + t_bl
             self.row_hits += 1
-        elif kind == "closed":
-            start = max(start, self.last_activate + self.timing.t_rc)
-            latency = self.timing.row_closed_latency
-            next_ready = start + self.timing.t_rcd + self.timing.t_bl
-            self.last_activate = start
+        else:
+            gate = self.last_activate + t_rc
+            if gate > start:
+                start = gate
+            if open_row is None:
+                done = start + closed_latency
+                next_ready = start + t_rcd_bl
+                self.last_activate = start
+            else:  # conflict: precharge, then activate
+                done = start + conflict_latency
+                next_ready = start + t_rp_rcd_bl
+                self.last_activate = start + t_rp
             self.row_misses += 1
-        else:  # conflict: precharge, then activate
-            start = max(start, self.last_activate + self.timing.t_rc)
-            latency = self.timing.row_conflict_latency
-            next_ready = start + self.timing.t_rp + self.timing.t_rcd \
-                + self.timing.t_bl
-            self.last_activate = start + self.timing.t_rp
-            self.row_misses += 1
-        done = start + latency
-        self.open_row = row
-        recovery = self.timing.t_wr if is_write else 0
-        self.ready_cycle = next_ready + recovery
+            self.open_row = row
+        if is_write:
+            next_ready += t_wr
+        self.ready_cycle = next_ready
         if guarded:
             # Row-buffer legality: the access leaves ``row`` open, never
             # finishes before it starts, and bank readiness only advances.

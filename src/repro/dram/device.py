@@ -6,15 +6,21 @@ at which the data burst finishes, honouring per-bank row-buffer state, the
 tRC activate window, write recovery, data-bus serialisation, and periodic
 refresh.  That is the level of fidelity MITTS and the comparator schedulers
 actually exercise -- they reorder and throttle *requests*, not DDR commands.
+
+Address mapping happens once per request, in :meth:`DramDevice.locate`;
+the row-hit probe and the service path read the stamped location.
 """
 
 from __future__ import annotations
 
-from typing import List
+from typing import TYPE_CHECKING, List
 
 from .address_map import AddressMapper
 from .bank import Bank
 from .timing import DramTiming
+
+if TYPE_CHECKING:  # pragma: no cover - annotations only
+    from ..sim.request import MemoryRequest
 
 
 class DramDevice:
@@ -44,28 +50,42 @@ class DramDevice:
             self._refresh_bank += 1
             self._next_refresh += max(1, self.timing.t_refi // len(self.banks))
 
-    def would_row_hit(self, address: int) -> bool:
-        """True if ``address`` would hit the currently open row of its bank."""
-        coords = self.mapper.map(address)
-        bank = self.banks[self.mapper.flat_index(coords)]
-        return bank.open_row == coords.row
+    def locate(self, request: MemoryRequest) -> None:
+        """Stamp ``request`` with its DRAM location, mapping it once.
 
-    def bank_ready_cycle(self, address: int) -> int:
-        """Cycle at which the bank owning ``address`` can start a command."""
-        return self.banks[self.mapper.bank_index(address)].ready_cycle
+        Sets the flat bank index (:meth:`AddressMapper.flat_index`
+        numbering, the index into :attr:`banks`), the row and the channel.
+        The memory controller calls this when a request arrives; every
+        later scheduler scan and the DRAM service only read the stamp.
+        """
+        mapper = self.mapper
+        coords = mapper.map(request.address)
+        request.bank = mapper.flat_index(coords)
+        request.row = coords.row
+        request.channel = coords.channel
 
-    def service(self, address: int, now: int, is_write: bool = False) -> int:
-        """Service one cache-line request; returns the data-complete cycle."""
+    def would_row_hit(self, request: MemoryRequest) -> bool:
+        """True if located ``request`` would hit its bank's open row."""
+        return self.banks[request.bank].open_row == request.row
+
+    def bank_ready_cycle(self, request: MemoryRequest) -> int:
+        """Cycle at which located ``request``'s bank can start a command."""
+        return self.banks[request.bank].ready_cycle
+
+    def service(self, request: MemoryRequest, now: int) -> int:
+        """Service one located cache-line request; returns the
+        data-complete cycle.
+
+        Refresh catch-up, then the bank's row-buffer state machine, then
+        the data burst serialised on the request's channel bus.
+        """
         if self._next_refresh is not None and now >= self._next_refresh:
             self._maybe_refresh(now)
-        mapper = self.mapper
-        coords = mapper.map(address)
-        bank = self.banks[mapper.flat_index(coords)]
-        done = bank.access(coords.row, now, is_write=is_write)
-        # Serialise the data burst on the channel bus.
+        done = self.banks[request.bank].access(request.row, now,
+                                               request.is_write)
         t_bl = self._t_bl
         bus_free = self.bus_free
-        channel = coords.channel
+        channel = request.channel
         bus_start = done - t_bl
         free_at = bus_free[channel]
         if free_at > bus_start:

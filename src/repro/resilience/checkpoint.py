@@ -49,8 +49,11 @@ from typing import Callable, Iterator, Optional
 
 from ..analysis import contracts
 
-#: bump when the on-disk layout (not the pickled schema) changes
-CHECKPOINT_VERSION = 1
+#: bump when the on-disk layout changes, or when the pickled schema
+#: changes so that an older graph would not resume (version 2: requests
+#: carry the DRAM location stamped at memory-controller arrival, which
+#: version-1 queues lack)
+CHECKPOINT_VERSION = 2
 _MAGIC = b"repro-checkpoint-v1\n"
 
 #: default cycles between periodic checkpoints in run_with_checkpoints

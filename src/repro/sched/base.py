@@ -53,8 +53,8 @@ class MemoryScheduler(MemorySchedulerProtocol):
         """Oldest row-hitting request, else oldest overall (FR-FCFS order)."""
         if not requests:
             return None
-        hits = [r for r in requests
-                if controller.dram.would_row_hit(r.address)]
+        would_row_hit = controller.dram.would_row_hit
+        hits = [r for r in requests if would_row_hit(r)]
         return MemoryScheduler.oldest(hits or requests)
 
     def by_core(self, queue: List[MemoryRequest]) -> dict:

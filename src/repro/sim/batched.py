@@ -15,20 +15,22 @@ chains when -- and only when -- the collapse is provably bit-identical:
   arithmetic of :meth:`~repro.sim.llc.SharedLLC.lookup` and schedules the
   system's fused hit/miss determinations directly (no ``_hit``/``_miss``
   trampoline events).
-* :class:`BatchedMemoryController` pops the queue head directly when the
-  scheduler declares ``selects_head`` (FCFS order), and services DRAM from
-  a precomputed line -> ``(flat_bank, row, channel)`` table with the bank
-  state machine and channel-bus arithmetic inlined -- no per-dispatch
-  address mapping, no per-access ``contracts.is_enabled()`` probe.
+* :class:`BatchedMemoryController` serves every scheduler from one
+  dispatch loop: it pops the queue head directly when the scheduler
+  declares ``selects_head`` (FCFS order), otherwise it calls ``select``
+  and ``queue.remove``; DRAM timing is
+  :meth:`~repro.dram.device.DramDevice.service` on the location the
+  controller stamped when the request arrived (no address mapping at
+  dispatch), and the completion event goes straight into the wheel.
 
 Every inlined body is a transcription of the corresponding checked
 component with the same statement order for every observable effect
 (statistics, request-id allocation, event scheduling); the golden
 fingerprint suite pins the equivalence.  Each subclass also keeps a
 gate flag and falls back to the parent implementation whenever its
-preconditions (power-of-two geometry, materialisable trace, head-selecting
-scheduler) do not hold, so these classes are accelerators, never a
-restriction on configuration space.
+preconditions (power-of-two geometry, materialisable trace, wheel engine)
+do not hold, so these classes are accelerators, never a restriction on
+configuration space.
 
 These classes are only instantiated on the fused path (``kernel:
 "batched"`` with contracts disabled); with ``REPRO_CONTRACTS=1`` the
@@ -39,7 +41,7 @@ check still runs.
 from __future__ import annotations
 
 from heapq import heappush as _heappush
-from typing import Callable, Dict, Optional, Tuple
+from typing import Callable, Optional
 
 from ..dram.device import DramDevice
 from .core_model import CoreModel
@@ -443,47 +445,32 @@ class BatchedLLC(SharedLLC):
 
 
 class BatchedMemoryController(MemoryController):
-    """Memory controller with head-select dispatch over precomputed
-    DRAM coordinates.
+    """Memory controller with the wheel-inlined dispatch and completion.
 
-    The fast dispatch requires (a) a scheduler that always selects the
-    queue head (``selects_head``, i.e. strict FCFS order) and (b) the
-    coordinate table covering the request's address; otherwise it falls
-    back to the generic select/map/service path per request.  The inlined
-    bank state machine is :meth:`repro.dram.bank.Bank.access` with the
-    timing sums precomputed, followed by the channel-bus serialisation of
-    :meth:`repro.dram.device.DramDevice.service`.
+    One dispatch loop serves every scheduler: it pops the queue head when
+    the scheduler declares ``selects_head`` (strict FCFS order) and
+    otherwise calls ``select`` then ``queue.remove``, exactly like
+    :meth:`MemoryController._dispatch`.  DRAM timing is always
+    :meth:`~repro.dram.device.DramDevice.service` on the request's
+    stamped location; only the completion schedule is inlined.
     """
 
-    __slots__ = ("_coords", "_dshift", "_fast_select", "_skip_on_complete",
-                 "_timing_pack", "_respond_cores", "_respond_fast")
+    __slots__ = ("_fused", "_selects_head", "_skip_on_complete",
+                 "_respond_cores", "_respond_fast")
 
     def __init__(self, engine, dram: DramDevice,
                  scheduler: MemorySchedulerProtocol,
                  complete: Callable[[MemoryRequest], None],
                  queue_depth: int = 32,
-                 stats: Optional[SystemStats] = None,
-                 coord_table: Optional[
-                     Dict[int, Tuple[int, int, int]]] = None) -> None:
+                 stats: Optional[SystemStats] = None) -> None:
         super().__init__(engine, dram, scheduler, complete,
                          queue_depth=queue_depth, stats=stats)
-        self._coords = coord_table
-        timing = dram.timing
-        line_bytes = timing.line_bytes
-        self._dshift = line_bytes.bit_length() - 1 \
-            if line_bytes & (line_bytes - 1) == 0 else None
-        self._fast_select = bool(getattr(scheduler, "selects_head", False)) \
-            and coord_table is not None and self._dshift is not None \
-            and type(engine) is WheelEngine
+        #: the inlined schedule appends to wheel buckets directly
+        self._fused = type(engine) is WheelEngine
+        self._selects_head = bool(getattr(scheduler, "selects_head",
+                                          False))
         self._skip_on_complete = (type(scheduler).on_complete
                                   is MemorySchedulerProtocol.on_complete)
-        #: one tuple read + unpack per dispatch instead of nine attr reads
-        self._timing_pack = (
-            timing.t_bl, timing.t_rc, timing.t_rp, timing.t_wr,
-            timing.t_rcd + timing.t_bl,
-            timing.t_rp + timing.t_rcd + timing.t_bl,
-            timing.row_hit_latency, timing.row_closed_latency,
-            timing.row_conflict_latency)
         #: core models indexed by core_id (installed by the system after
         #: construction); lets ``_complete`` respond to the core directly
         #: instead of going through the generic ``complete`` callback
@@ -506,75 +493,35 @@ class BatchedMemoryController(MemoryController):
             for core in cores)
 
     def _dispatch(self) -> None:
-        if not self._fast_select:
+        if not self._fused:
             MemoryController._dispatch(self)
             return
         queue = self.queue
-        inflight = self._inflight
-        if not queue or inflight >= self._max_inflight:
+        if not queue or self._inflight >= self._max_inflight:
             return
-        max_inflight = self._max_inflight
         engine = self.engine
         now = engine.now
         overflow = self.overflow
         depth = self.queue_depth
-        dram = self.dram
-        banks = dram.banks
-        bus_free = dram.bus_free
+        max_inflight = self._max_inflight
+        service = self.dram.service
         complete_cb = self._complete_cb
-        coords_get = self._coords.get
-        dshift = self._dshift
-        (t_bl, t_rc, t_rp, t_wr, t_rcd_bl, t_rp_rcd_bl,
-         hit_lat, closed_lat, conflict_lat) = self._timing_pack
-        dispatched = 0
-        while queue and inflight < max_inflight:
-            request = queue.pop(0)
+        select = None if self._selects_head else self.scheduler.select
+        while queue and self._inflight < max_inflight:
+            if select is None:
+                request = queue.pop(0)
+            else:
+                request = select(queue, now, self)
+                if request is None:
+                    return
+                queue.remove(request)
             if overflow:
                 while overflow and len(queue) < depth:
                     queue.append(overflow.popleft())
             request.dram_start_cycle = now
-            next_refresh = dram._next_refresh
-            if next_refresh is not None and now >= next_refresh:
-                dram._maybe_refresh(now)
-            entry = coords_get(request.address >> dshift)
-            if entry is None:
-                done = dram.service(request.address, now, request.is_write)
-            else:
-                flat, row, channel = entry
-                bank = banks[flat]
-                start = bank.ready_cycle
-                if now > start:
-                    start = now
-                open_row = bank.open_row
-                if open_row == row:
-                    done = start + hit_lat
-                    next_ready = start + t_bl
-                    bank.row_hits += 1
-                else:
-                    gate = bank.last_activate + t_rc
-                    if gate > start:
-                        start = gate
-                    if open_row is None:
-                        done = start + closed_lat
-                        next_ready = start + t_rcd_bl
-                        bank.last_activate = start
-                    else:
-                        done = start + conflict_lat
-                        next_ready = start + t_rp_rcd_bl
-                        bank.last_activate = start + t_rp
-                    bank.row_misses += 1
-                    bank.open_row = row
-                if request.is_write:
-                    next_ready += t_wr
-                bank.ready_cycle = next_ready
-                bus_start = done - t_bl
-                free_at = bus_free[channel]
-                if free_at > bus_start:
-                    bus_start = free_at
-                done = bus_start + t_bl
-                bus_free[channel] = done
-            inflight += 1
-            dispatched += 1
+            done = service(request, now)
+            self._inflight += 1
+            self.dispatched += 1
             # inline engine.schedule(done, complete_cb, request)
             seq = engine._seq
             engine._seq = seq + 1
@@ -587,8 +534,6 @@ class BatchedMemoryController(MemoryController):
                 _heappush(engine._overflow, (done, seq, complete_cb,
                                              request))
             engine._count += 1
-        self._inflight = inflight
-        self.dispatched += dispatched
 
     def _complete(self, request: MemoryRequest) -> None:
         self._inflight -= 1

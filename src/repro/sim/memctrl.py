@@ -71,6 +71,7 @@ class MemoryController:
 
     @contracts.invariant(_queue_within_depth, _inflight_within_banks)
     def enqueue(self, request: MemoryRequest) -> None:
+        self.dram.locate(request)
         request.mc_arrival_cycle = self.engine.now
         queue = self.queue
         if len(queue) >= self.queue_depth:
@@ -116,7 +117,7 @@ class MemoryController:
             queue.remove(request)
             self._refill_window()
             request.dram_start_cycle = now
-            done = service(request.address, now, request.is_write)
+            done = service(request, now)
             self._inflight += 1
             self.dispatched += 1
             engine.schedule(done, complete_cb, request)

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
+from typing import Optional
 
 
 class RequestIdAllocator:
@@ -65,6 +66,13 @@ class MemoryRequest:
     #: MITTS bin a credit was deducted from (hybrid method 2 bookkeeping)
     shaper_bin: int = -1
     req_id: int = field(default_factory=_default_request_ids)
+    #: DRAM location, stamped once by
+    #: :meth:`~repro.dram.device.DramDevice.locate` when the request
+    #: reaches the memory controller (``None`` until then): flat bank
+    #: index into ``DramDevice.banks``, row, and channel
+    bank: Optional[int] = None
+    row: Optional[int] = None
+    channel: Optional[int] = None
 
     @property
     def total_latency(self) -> int:

@@ -1,14 +1,13 @@
 """Struct-of-arrays trace columns for the batched simulation kernel.
 
 The heap kernel replays traces through the iterator protocol and derives
-everything per access: line number, cache set, DRAM coordinates.  The
-batched kernel instead precomputes the derived values *once per trace* as
-parallel columns -- ``works`` / ``addrs`` / ``iswrites`` / ``lines`` --
-using numpy int64 array ops over the whole event stream (one vectorized
-shift instead of one Python shift per replayed access), plus a DRAM
-coordinate table mapping every distinct line to its
-``(flat_bank, row, channel)`` triple via
-:meth:`~repro.dram.address_map.AddressMapper.map_lines`.
+everything per access: line number, cache set.  The batched kernel
+instead precomputes the derived values *once per trace* as parallel
+columns -- ``works`` / ``addrs`` / ``iswrites`` / ``lines`` -- using
+numpy int64 array ops over the whole event stream (one vectorized shift
+instead of one Python shift per replayed access).  DRAM coordinates are
+not precomputed here: a request is located once, when it reaches the
+memory controller (:meth:`~repro.dram.device.DramDevice.locate`).
 
 Columns are converted back to plain Python scalars (``ndarray.tolist``)
 before they leave this module: the hot loops index them as ordinary lists
@@ -25,20 +24,15 @@ with identical results.
 from __future__ import annotations
 
 from collections import OrderedDict
-from typing import Dict, List, NamedTuple, Optional, Tuple
-
-from ..dram.address_map import AddressMapper
-from ..dram.timing import DramTiming
+from typing import List, NamedTuple, Optional, Tuple
 
 try:  # pragma: no cover - exercised implicitly by every batched run
     import numpy as _np
 except ImportError:  # pragma: no cover - numpy ships with the toolchain
     _np = None
 
-#: bounded memos (same policy as the trace generator's stream memo)
+#: bounded memo (same policy as the trace generator's stream memo)
 _COLUMN_MEMO: "OrderedDict[Tuple, TraceColumns]" = OrderedDict()
-_COORD_MEMO: "OrderedDict[Tuple, Dict[int, Tuple[int, int, int]]]" = \
-    OrderedDict()
 _MEMO_MAX = 64
 
 
@@ -146,44 +140,3 @@ def _build_columns(events: Tuple, shift: int) -> Optional[TraceColumns]:
         return None
     return TraceColumns(works, addrs, iswrites, lines,
                         list(zip(works, addrs, iswrites, lines)))
-
-
-def dram_coord_table(trace, timing: DramTiming,
-                     scheme: str) -> Optional[Dict[int, Tuple[int, int, int]]]:
-    """DRAM line -> ``(flat_bank, row, channel)`` for a trace's addresses.
-
-    Keyed by ``address >> log2(timing.line_bytes)``.  Covers every address
-    the trace touches -- and therefore every dirty-victim writeback too,
-    since victims are previously-filled lines of the same stream.  The
-    batched memory controller falls back to the scalar mapper for any
-    address outside the table, so the table is a pure accelerator, never a
-    correctness dependency.
-    """
-    dshift = _shift_for(timing.line_bytes)
-    if dshift is None:
-        return None
-    key = trace_key(trace)
-    memo_key = (key, timing, scheme) if key is not None else None
-    if memo_key is not None:
-        cached = _COORD_MEMO.get(memo_key)
-        if cached is not None:
-            return cached
-    columns = trace_columns(trace, timing.line_bytes)
-    if columns is None:
-        return None
-    mapper = AddressMapper(timing, scheme=scheme)
-    if _np is not None:
-        unique = _np.unique(_np.array(columns.lines, dtype=_np.int64))
-        flat, row, channel = mapper.map_lines(unique)
-        table = dict(zip(unique.tolist(),
-                         zip(flat.tolist(), row.tolist(), channel.tolist())))
-    else:
-        table = {}
-        line_bytes = timing.line_bytes
-        for line in set(columns.lines):
-            coords = mapper.map(line * line_bytes)
-            table[line] = (mapper.flat_index(coords), coords.row,
-                           coords.channel)
-    if memo_key is not None:
-        _memo_put(_COORD_MEMO, memo_key, table)
-    return table

@@ -31,7 +31,6 @@ from .engine import Engine
 from .llc import SharedLLC
 from .memctrl import MemoryController, MemorySchedulerProtocol
 from .request import MemoryRequest, RequestIdAllocator
-from .soa import dram_coord_table
 from .stats import CoreStats, SystemStats
 from .wheel import WheelEngine
 
@@ -217,25 +216,11 @@ class SimSystem:
             cores=[CoreStats(core_id=i) for i in range(num_cores)])
         self.dram = DramDevice(self.config.timing,
                                mapping_scheme=self.config.dram_mapping)
-        if fused:
-            coord_table = {}
-            for trace in traces:
-                sub = dram_coord_table(trace, self.config.timing,
-                                       self.config.dram_mapping)
-                if sub is None:
-                    coord_table = None
-                    break
-                coord_table.update(sub)
-            self.mc = BatchedMemoryController(
-                self.engine, self.dram, self.scheduler,
-                complete=self._on_dram_complete,
-                queue_depth=self.config.mc_queue_depth, stats=self.stats,
-                coord_table=coord_table)
-        else:
-            self.mc = MemoryController(
-                self.engine, self.dram, self.scheduler,
-                complete=self._on_dram_complete,
-                queue_depth=self.config.mc_queue_depth, stats=self.stats)
+        mc_cls = BatchedMemoryController if fused else MemoryController
+        self.mc = mc_cls(self.engine, self.dram, self.scheduler,
+                         complete=self._on_dram_complete,
+                         queue_depth=self.config.mc_queue_depth,
+                         stats=self.stats)
         llc_cache = Cache(CacheGeometry(self.config.llc_size,
                                         self.config.llc_ways,
                                         self.config.line_bytes))
@@ -463,6 +448,7 @@ class SimSystem:
             stats.last_mem_request_cycle = now
         # inline self.llc.forward_miss(request) == mc.enqueue(request)
         mc = self.mc
+        self.dram.locate(request)
         request.mc_arrival_cycle = now
         queue = mc.queue
         sysstats = self.stats

@@ -12,9 +12,10 @@ from dataclasses import replace
 
 import pytest
 
+import repro.sched
 from repro.core.bins import BinConfig
 from repro.core.shaper import MittsShaper
-from repro.sched.base import FrFcfsScheduler
+from repro.sched.base import FrFcfsScheduler, MemoryScheduler
 from repro.sim.engine import Engine
 from repro.sim.system import (SCALED_MULTI_CONFIG, SCALED_SINGLE_CONFIG,
                               SimSystem)
@@ -24,16 +25,26 @@ from repro.workloads.mixes import workload_traces
 
 CYCLES = 60_000
 
+#: every memory-controller scheduler the package exports
+SCHEDULERS = sorted(
+    (obj for obj in vars(repro.sched).values()
+     if isinstance(obj, type) and issubclass(obj, MemoryScheduler)
+     and obj is not MemoryScheduler),
+    key=lambda cls: cls.__name__)
 
-def _shaped_system(kernel: str, phase_stride: int = 0) -> SimSystem:
+
+def _shaped_system(kernel: str, phase_stride: int = 0,
+                   scheduler_cls=FrFcfsScheduler,
+                   dram_mapping: str = "row") -> SimSystem:
     traces = workload_traces(2, seed=5)
-    config = replace(SCALED_MULTI_CONFIG, kernel=kernel)
+    config = replace(SCALED_MULTI_CONFIG, kernel=kernel,
+                     dram_mapping=dram_mapping)
     credits = [4, 4, 3, 3, 2, 2, 1, 1, 1, 1]
     limiters = [MittsShaper(BinConfig.from_credits(credits),
                             phase=phase_stride * i)
                 for i in range(len(traces))]
     return SimSystem(traces, config=config, limiters=limiters,
-                     scheduler=FrFcfsScheduler(len(traces)))
+                     scheduler=scheduler_cls(len(traces)))
 
 
 class TestKernelSelection:
@@ -97,6 +108,18 @@ class TestSnapshotEquality:
         # pump must stay off and the lazy path must still match the heap.
         snapshots = self._run_pair(
             lambda k: _shaped_system(k, phase_stride=17))
+        assert snapshots["heap"] == snapshots["batched"]
+
+    @pytest.mark.parametrize("dram_mapping", ["row", "bank"])
+    @pytest.mark.parametrize("scheduler_cls", SCHEDULERS,
+                             ids=lambda cls: cls.__name__)
+    def test_every_scheduler(self, scheduler_cls, dram_mapping):
+        # Every scheduler runs through the batched controller's one
+        # dispatch loop: head-pop for FCFS order, select/remove otherwise.
+        snapshots = self._run_pair(
+            lambda k: _shaped_system(k, phase_stride=17,
+                                     scheduler_cls=scheduler_cls,
+                                     dram_mapping=dram_mapping))
         assert snapshots["heap"] == snapshots["batched"]
 
     def test_events_executed_matches(self):

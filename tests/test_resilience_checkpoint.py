@@ -155,6 +155,30 @@ class TestCheckpointFormat:
         with pytest.raises(CheckpointError, match="version"):
             load_checkpoint(path)
 
+    def test_version_1_checkpoint_refused(self, tmp_path, monkeypatch):
+        # Version 1 predates the DRAM location stamped on requests at
+        # memory-controller arrival: its queued requests have none, and
+        # servicing one would fail mid-run.  Loading must refuse the file
+        # up front instead.
+        path = tmp_path / "v1.ckpt"
+        system = _small_system()
+        for _ in range(100):
+            if system.mc.queue:
+                break
+            system.run(200)
+        assert system.mc.queue
+        for request in system.mc.queue:
+            request.bank = request.row = request.channel = None
+        import repro.resilience.checkpoint as checkpoint_module
+        monkeypatch.setattr(checkpoint_module, "CHECKPOINT_VERSION", 1)
+        save_checkpoint(system, path)
+        monkeypatch.undo()
+        assert CHECKPOINT_VERSION > 1
+        with pytest.raises(CheckpointError, match="version 1"):
+            load_checkpoint(path)
+        with pytest.raises(CheckpointError, match="version 1"):
+            read_checkpoint_meta(path)
+
     def test_unpicklable_system_raises_checkpoint_error(self, tmp_path):
         system = _small_system()
         system.run(100)

@@ -24,9 +24,15 @@ class FakeController:
         self.dram = DramDevice(DramTiming(refresh_enabled=False))
 
 
+#: stamps each request with its DRAM location, as the memory controller
+#: does on arrival (every FakeController shares this geometry)
+_LOCATOR = DramDevice(DramTiming(refresh_enabled=False))
+
+
 def request(core, address, arrival=0):
     req = MemoryRequest(core_id=core, address=address)
     req.mc_arrival_cycle = arrival
+    _LOCATOR.locate(req)
     return req
 
 
@@ -48,7 +54,7 @@ class TestFcfs:
 class TestFrFcfs:
     def test_row_hit_preferred_over_older(self):
         controller = FakeController()
-        controller.dram.service(0, 0)  # open row 0 of bank 0
+        controller.dram.service(request(0, 0), 0)  # open row 0 of bank 0
         sched = FrFcfsScheduler(2)
         older_conflict = request(0, 8192 * 8, arrival=0)  # same bank, new row
         newer_hit = request(1, 64, arrival=5)

@@ -17,9 +17,15 @@ class FakeController:
         self.dram = DramDevice(DramTiming(refresh_enabled=False))
 
 
+#: stamps each request with its DRAM location, as the memory controller
+#: does on arrival (every FakeController shares this geometry)
+_LOCATOR = DramDevice(DramTiming(refresh_enabled=False))
+
+
 def request(core, address, arrival=0):
     req = MemoryRequest(core_id=core, address=address)
     req.mc_arrival_cycle = arrival
+    _LOCATOR.locate(req)
     return req
 
 
@@ -81,18 +87,16 @@ class TestParbs:
         assert second is not newcomer
 
     def test_cap_limits_marks_per_core_bank(self):
-        controller = FakeController()
         sched = ParbsScheduler(1, cap=2)
         queue = [request(0, i * 64, arrival=i) for i in range(5)]
-        sched._form_batch(queue, controller)
+        sched._form_batch(queue)
         assert len(sched._marked) == 2
 
     def test_shortest_job_ranked_first(self):
-        controller = FakeController()
         sched = ParbsScheduler(2, cap=4)
         queue = [request(0, i * 64, arrival=i) for i in range(4)] \
             + [request(1, 1 << 20, arrival=10)]
-        sched._form_batch(queue, controller)
+        sched._form_batch(queue)
         assert sched._rank[1] < sched._rank[0]
 
     def test_cap_validation(self):

@@ -1,9 +1,6 @@
 """Unit tests for the struct-of-arrays trace columns (batched kernel)."""
 
-from repro.dram.address_map import AddressMapper
-from repro.dram.timing import DDR3_1333
-from repro.sim.soa import (TraceColumns, _COLUMN_MEMO, dram_coord_table,
-                           trace_columns, trace_key)
+from repro.sim.soa import TraceColumns, _COLUMN_MEMO, trace_columns, trace_key
 from repro.workloads.benchmarks import trace_for
 
 LINE_BYTES = 64
@@ -65,26 +62,3 @@ class TestTraceColumns:
     def test_trace_key_requires_profile_and_seed(self):
         assert trace_key(object()) is None
         assert trace_key(trace_for("mcf", seed=9)) is not None
-
-
-class TestDramCoordTable:
-    def test_table_matches_scalar_mapper(self):
-        trace = trace_for("mcf", seed=9)
-        timing = DDR3_1333
-        table = dram_coord_table(trace, timing, scheme="row")
-        assert table is not None
-        mapper = AddressMapper(timing, scheme="row")
-        columns = trace_columns(trace, timing.line_bytes)
-        lines = set(columns.lines)
-        assert set(table) == lines
-        for line in sorted(lines)[:64]:
-            coords = mapper.map(line * timing.line_bytes)
-            assert table[line] == (mapper.flat_index(coords), coords.row,
-                                   coords.channel)
-
-    def test_table_values_are_plain_ints(self):
-        table = dram_coord_table(trace_for("mcf", seed=9), DDR3_1333,
-                                 scheme="row")
-        flat, row, channel = next(iter(table.values()))
-        assert type(flat) is int and type(row) is int \
-            and type(channel) is int
